@@ -38,7 +38,6 @@ import warnings
 from typing import Iterator, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..core.spiral import spiral_hit_time, spiral_steps
 from ..core.walks import diamond_tour, diamond_tour_hit_time, manhattan_path
@@ -179,7 +178,7 @@ class LevyFlightSearch(SearchAlgorithm):
     def step_program(self, rng: np.random.Generator) -> Iterator[Point]:
         x, y = 0, 0
         while True:
-            length = int(stats.zipf.rvs(self.mu, random_state=rng))
+            length = int(rng.zipf(self.mu))
             length = min(length, self.max_segment)
             dx, dy = _DIRECTIONS[int(rng.integers(0, 4))]
             for _ in range(length):

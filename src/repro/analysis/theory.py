@@ -9,8 +9,8 @@ implemented schedules, including all rounding).
 from __future__ import annotations
 
 import math
-from scipy.special import zeta
 
+from ..algorithms.harmonic import harmonic_normalizing_constant, zeta
 from ..core.schedule import (
     nonuniform_stage_phases,
     phase_max_duration,
@@ -94,7 +94,7 @@ def zeta_constant(delta: float) -> float:
     """``zeta(1 + delta)`` — the tail mass of the harmonic distribution."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    return float(zeta(1.0 + delta))
+    return zeta(1.0 + delta)
 
 
 def harmonic_alpha(eps: float, delta: float) -> float:
@@ -107,7 +107,7 @@ def harmonic_alpha(eps: float, delta: float) -> float:
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     beta = math.log(1.0 / eps)
-    c = 1.0 / (4.0 * zeta_constant(delta))
+    c = harmonic_normalizing_constant(delta)
     return 12.0 * beta / c
 
 
@@ -120,7 +120,7 @@ def harmonic_failure_bound(k: float, distance: float, delta: float) -> float:
     """
     if k <= 0 or distance < 1:
         raise ValueError("k must be positive and distance >= 1")
-    c = 1.0 / (4.0 * zeta_constant(delta))
+    c = harmonic_normalizing_constant(delta)
     beta = c * k / (12.0 * distance**delta)
     return min(1.0, math.exp(-beta))
 

@@ -605,15 +605,19 @@ def _cmd_run(
 
 def _activate_fault_plan(source: Optional[str]) -> None:
     """Arm ``--fault-plan`` on the process singleton (and, via the
-    environment, on every worker process this run spawns)."""
-    if not source:
-        return
-    from .faults import FAULT_PLAN_ENV, activate, load_plan
+    environment, on every worker process this run spawns); without it, a
+    bad ``REPRO_FAULT_PLAN`` exits here with its message, not a traceback."""
+    from .faults import (
+        FAULT_PLAN_ENV, FaultPlanError, activate, ensure_env_plan, load_plan,
+    )
 
     try:
-        activate(load_plan(source))
-    except (OSError, ValueError) as error:
-        raise SystemExit(f"--fault-plan {source!r}: {error}")
+        if not source:
+            ensure_env_plan()
+            return
+        activate(load_plan(source, origin="--fault-plan"))
+    except FaultPlanError as error:
+        raise SystemExit(str(error))
     # Workers re-load the plan from the environment (ensure_env_plan in
     # the task wrapper), so worker-side seams see the same schedule.
     os.environ[FAULT_PLAN_ENV] = source

@@ -33,6 +33,7 @@ from .plan import (
     FaultError,
     FaultInjector,
     FaultPlan,
+    FaultPlanError,
     FaultRule,
     activate,
     deactivate,
@@ -50,6 +51,7 @@ __all__ = [
     "FaultError",
     "FaultInjector",
     "FaultPlan",
+    "FaultPlanError",
     "FaultRule",
     "activate",
     "deactivate",

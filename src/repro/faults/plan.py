@@ -36,6 +36,7 @@ __all__ = [
     "FaultError",
     "FaultInjector",
     "FaultPlan",
+    "FaultPlanError",
     "FaultRule",
     "activate",
     "deactivate",
@@ -77,6 +78,10 @@ class FaultError(ConnectionError):
     remote ``except ConnectionError`` resubmission — catch it without
     any injection-aware code on the recovery paths.
     """
+
+
+class FaultPlanError(ValueError):
+    """A fault plan source (flag, variable or argument) that cannot be loaded."""
 
 
 @dataclass(frozen=True)
@@ -167,13 +172,22 @@ class FaultPlan:
         return cls.from_dict(json.loads(text))
 
 
-def load_plan(source: str) -> FaultPlan:
-    """Load a plan from a JSON file path, or inline JSON text."""
-    text = source
-    if not source.lstrip().startswith("{"):
-        with open(source) as handle:
-            text = handle.read()
-    return FaultPlan.from_json(text)
+def load_plan(source: str, origin: str = "fault plan") -> FaultPlan:
+    """Load a plan from a JSON file path, or inline JSON text.
+
+    Any failure raises :class:`FaultPlanError` naming *origin*, e.g. the flag.
+    """
+    try:
+        text = source
+        if not source.lstrip().startswith("{"):
+            with open(source) as handle:
+                text = handle.read()
+        return FaultPlan.from_json(text)
+    except (OSError, TypeError, ValueError) as error:
+        raise FaultPlanError(
+            f"{origin}={source!r} is not a usable fault plan (expected a "
+            f"JSON file path or an inline JSON object): {error}"
+        ) from error
 
 
 class FaultInjector:
@@ -342,14 +356,13 @@ def ensure_env_plan() -> None:
 
     Called by ``run_sweep`` on the driver and by the pool-worker task
     wrapper, so one exported variable arms every process of a run.  A
-    malformed plan raises — chaos testing with a silently ignored plan
-    would report vacuous green.
+    malformed plan raises on every call — chaos testing with a silently
+    ignored plan would report vacuous green.
     """
     global _ENV_LOADED
     if _ENV_LOADED:
         return
-    _ENV_LOADED = True
     source = os.environ.get(FAULT_PLAN_ENV)
-    if not source:
-        return
-    FAULTS.activate(load_plan(source))
+    if source:
+        FAULTS.activate(load_plan(source, origin=FAULT_PLAN_ENV))
+    _ENV_LOADED = True

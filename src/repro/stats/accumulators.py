@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,44 +55,13 @@ __all__ = [
 def normal_quantile(p: float) -> float:
     """Standard normal quantile ``Phi^-1(p)``.
 
-    Uses ``scipy`` when available (the repository's CI installs it) and
-    falls back to the Acklam rational approximation (|error| < 1.2e-9)
-    so the stats subsystem never hard-depends on scipy.
+    The standard library's :meth:`statistics.NormalDist.inv_cdf` (Wichura's
+    AS241, relative error ~1e-16 on ``p in [1e-10, 1 - 1e-10]``), which
+    keeps scipy off the import path of every sweep.
     """
     if not 0 < p < 1:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    try:
-        from scipy import stats as _stats
-
-        return float(_stats.norm.ppf(p))
-    except ImportError:  # pragma: no cover - scipy present in CI
-        return _acklam_ppf(p)
-
-
-def _acklam_ppf(p: float) -> float:  # pragma: no cover - scipy fallback
-    a = (-3.969683028665376e+01, 2.209460984245205e+02,
-         -2.759285104469687e+02, 1.383577518672690e+02,
-         -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02,
-         -1.556989798598866e+02, 6.680131188771972e+01,
-         -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01,
-         -2.400758277161838e+00, -2.549732539343734e+00,
-         4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01,
-         2.445134137142996e+00, 3.754408661907416e+00)
-    plow, phigh = 0.02425, 1 - 0.02425
-    if p < plow:
-        q = math.sqrt(-2 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q
-                + c[5]) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    if p > phigh:
-        return -_acklam_ppf(1 - p)
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r
-            + a[5]) * q / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r
-                            + b[4]) * r + 1)
+    return NormalDist().inv_cdf(p)
 
 
 def wilson_interval(
@@ -115,7 +85,11 @@ def wilson_interval(
     denom = 1 + z * z / total
     centre = (p + z * z / (2 * total)) / denom
     margin = z * math.sqrt(p * (1 - p) / total + z * z / (4 * total * total)) / denom
-    return max(0.0, centre - margin), min(1.0, centre + margin)
+    # At p = 0 (p = 1) centre and margin are equal in exact arithmetic, so
+    # the closed bound is exactly 0 (1); rounding must not leak into it.
+    lo = 0.0 if successes == 0 else max(0.0, centre - margin)
+    hi = 1.0 if successes == total else min(1.0, centre + margin)
+    return lo, hi
 
 
 class StreamingMoments:

@@ -81,11 +81,14 @@ class TestWilson:
         lo, hi = wilson_interval(30, 100)
         assert lo < 0.3 < hi
 
-    def test_extremes_stay_in_unit_interval(self):
-        lo, hi = wilson_interval(0, 20)
-        assert lo == 0.0 and hi > 0
-        lo, hi = wilson_interval(20, 20)
-        assert hi == 1.0 and lo < 1
+    @pytest.mark.parametrize("n", [1, 3, 20, 400, 10_000])
+    @pytest.mark.parametrize("confidence", [0.8, 0.9, 0.95, 0.99, 0.999])
+    def test_extremes_stay_in_unit_interval(self, confidence, n):
+        # The closed bounds are exact, whatever the last bit of z.
+        lo, hi = wilson_interval(0, n, confidence)
+        assert lo == 0.0 and 0 < hi < 1
+        lo, hi = wilson_interval(n, n, confidence)
+        assert hi == 1.0 and 0 < lo < 1
 
     def test_narrows_with_n(self):
         lo1, hi1 = wilson_interval(5, 10)

@@ -26,12 +26,14 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.cli import main as cli_main
 from repro.faults import (
     FAULT_PLAN_ENV,
     FAULT_SITES,
     FAULTS,
     FaultError,
     FaultPlan,
+    FaultPlanError,
     FaultRule,
     backoff_delays,
     deactivate,
@@ -133,6 +135,30 @@ class TestFaultPlanModel:
             load_plan('{"rules": [{"site"')
         with pytest.raises(ValueError):
             load_plan(json.dumps({"rules": [{"mode": "error"}]}))
+
+    @pytest.mark.parametrize(
+        "source, cause",
+        [("no/such/plan.json", "No such file"), ('{"rules": [{"site"', "Expecting")],
+        ids=["missing-file", "malformed-json"],
+    )
+    def test_bad_env_plan_raises_typed_error_naming_variable(
+        self, monkeypatch, source, cause
+    ):
+        monkeypatch.setenv(FAULT_PLAN_ENV, source)
+        monkeypatch.setattr("repro.faults.plan._ENV_LOADED", False)
+        for _ in range(2):  # a bad plan is never silently skipped later
+            with pytest.raises(FaultPlanError, match=FAULT_PLAN_ENV) as info:
+                run_sweep(small_spec(), cache=False)
+            assert cause in str(info.value)
+        with pytest.raises(SystemExit, match=FAULT_PLAN_ENV):
+            cli_main(["sweep", "nonuniform", "--distances", "8", "--ks", "1",
+                      "--trials", "4", "--no-cache"])
+        assert not FAULTS.enabled
+
+    def test_bad_flag_plan_names_the_flag(self):
+        with pytest.raises(SystemExit, match="--fault-plan"):
+            cli_main(["sweep", "nonuniform", "--distances", "8", "--ks", "1",
+                      "--trials", "4", "--no-cache", "--fault-plan", "nope.json"])
 
     def test_unknown_rule_key_rejected(self):
         with pytest.raises(ValueError, match="unknown fault rule keys"):
