@@ -50,6 +50,7 @@ __all__ = [
     "ball_cells",
     "ring_cell_from_index",
     "ring_cells_from_index_array",
+    "ball_cells_from_index_array",
     "sample_uniform_ball",
     "sample_uniform_ring",
     "annulus_size",
@@ -124,17 +125,32 @@ def ring_cell_from_index(r: int, m: int) -> Tuple[int, int]:
     return i, -(r - i)
 
 
+#: Quadrant rotations ``(cos, sin)`` of the ring parameterisation: quadrant
+#: ``q`` is the quadrant-0 cell ``(r - i, i)`` turned by ``q`` quarter turns.
+_QUADRANT_COS = np.array([1, 0, -1, 0], dtype=np.int64)
+_QUADRANT_SIN = np.array([0, 1, 0, -1], dtype=np.int64)
+
+
+def _rotated_ring_cells(
+    q: np.ndarray, a: np.ndarray, i: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Turn the quadrant-0 cells ``(a, i)`` by ``q`` quarter turns.
+
+    Quadrants beyond 3 are clipped to 3, as the scalar mapping's last
+    branch does (a float-scaled index can round up to ``m == 4r``).
+    """
+    c = np.take(_QUADRANT_COS, q, mode="clip")
+    s = np.take(_QUADRANT_SIN, q, mode="clip")
+    return c * a - s * i, s * a + c * i
+
+
 def ring_cells_from_index_array(
     r: np.ndarray, m: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorised :func:`ring_cell_from_index` (all radii must be ``>= 1``)."""
     r = np.asarray(r, dtype=np.int64)
-    m = np.asarray(m, dtype=np.int64)
-    q = m // r
-    i = m % r
-    x = np.select([q == 0, q == 1, q == 2], [r - i, -i, -(r - i)], i)
-    y = np.select([q == 0, q == 1, q == 2], [i, r - i, -i], -(r - i))
-    return x, y
+    q, i = np.divmod(np.asarray(m, dtype=np.int64), r)
+    return _rotated_ring_cells(q, r - i, i)
 
 
 def ring_cells(r: int) -> Iterator[Tuple[int, int]]:
@@ -158,6 +174,27 @@ def annulus_cells(inner: int, outer: int) -> Iterator[Tuple[int, int]]:
         yield from ring_cells(rho)
 
 
+def ball_cells_from_index_array(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Cells of the ring-by-ring ball enumeration at indices ``n >= 0``.
+
+    Vectorised ``ring_cell_from_index(rho, n - ball_size(rho - 1))`` with
+    ``rho = ball_radius_from_index(n)`` (index 0 is the centre).  The
+    enumeration does not depend on the ball's radius.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    # rho = floor((1 + sqrt(2n)) / 2) in exact arithmetic; float rounding
+    # can leave it one off for n beyond 2^51, so fix up once each way.
+    rho = ((np.sqrt(2.0 * n) + 1.0) * 0.5).astype(np.int64)
+    rho += 2 * rho * (rho + 1) < n  # ball_size(rho) <= n
+    rho -= (2 * rho * (rho - 1) >= n) & (rho > 0)  # ball_size(rho - 1) > n
+
+    # The centre (n == 0, rho == 0) takes offset -1 on a unit divisor, so
+    # q = -1 clips to quadrant 0 and the cell is (0, 0) with no masking.
+    offset = n - 2 * rho * (rho - 1) - 1
+    q, i = np.divmod(offset, np.maximum(rho, 1))
+    return _rotated_ring_cells(q, rho - i, i)
+
+
 def sample_uniform_ball(
     rng: np.random.Generator, radius: int, size: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -169,29 +206,8 @@ def sample_uniform_ball(
     """
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
-    total = ball_size(radius)
-    n = rng.integers(0, total, size=size, dtype=np.int64)
-
-    # rho = floor((1 + sqrt(2n - 1)) / 2) with integer fix-up, vectorised.
-    with np.errstate(invalid="ignore"):
-        rho = ((1 + np.sqrt(np.maximum(2 * n - 1, 0))) // 2).astype(np.int64)
-    rho = np.where(n == 0, 0, rho)
-    # Fix-up passes (at most one step is ever needed, two for safety).
-    for _ in range(2):
-        ball_lo = 2 * rho * rho - 2 * rho + 1  # ball_size(rho - 1)
-        ball_hi = 2 * rho * rho + 2 * rho + 1  # ball_size(rho)
-        rho = np.where((rho > 0) & (ball_lo > n), rho - 1, rho)
-        rho = np.where(ball_hi <= n, rho + 1, rho)
-
-    offset = n - (2 * rho * rho - 2 * rho + 1)
-    x = np.zeros(size, dtype=np.int64)
-    y = np.zeros(size, dtype=np.int64)
-    on_ring = rho >= 1
-    if np.any(on_ring):
-        rx, ry = ring_cells_from_index_array(rho[on_ring], offset[on_ring])
-        x[on_ring] = rx
-        y[on_ring] = ry
-    return x, y
+    n = rng.integers(0, ball_size(radius), size=size, dtype=np.int64)
+    return ball_cells_from_index_array(n)
 
 
 def sample_uniform_ring(

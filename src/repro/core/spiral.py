@@ -235,39 +235,20 @@ def spiral_position_array(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     t = np.asarray(t, dtype=np.int64)
     if np.any(t < 0):
         raise ValueError("spiral times must be non-negative")
-    v = np.asarray(np.floor(np.sqrt(t.astype(np.float64))), dtype=np.int64)
-    # Guard against floating-point error around perfect squares.
-    v = np.where((v + 1) * (v + 1) <= t, v + 1, v)
-    v = np.where(v * v > t, v - 1, v)
-
-    # Position after odd run 2q+1 with q = v - 1 (valid for v >= 1).
-    q = v - 1
-    q_even = q % 2 == 0
-    ox = np.where(q_even, q // 2 + 1, -((q + 1) // 2))
-    oy = np.where(q_even, -(q // 2), (q + 1) // 2)
-
-    # Position after even run 2v.
-    v_odd = v % 2 == 1
-    ex = np.where(v_odd, (v + 1) // 2, -(v // 2))
-    ey = np.where(v_odd, (v + 1) // 2, -(v // 2))
-
-    in_even_run = (t > v * v) & (t <= v * v + v)
-    in_odd_run = t > v * v + v
-
-    steps_even = t - v * v
-    steps_odd = t - v * v - v
-
-    x = ox.copy()
-    y = oy.copy()
-    # Even run 2v: N for odd v, S for even v.
-    x = np.where(in_even_run, ox, x)
-    y = np.where(in_even_run, np.where(v_odd, oy + steps_even, oy - steps_even), y)
-    # Odd run 2v+1: E for even v, W for odd v.
-    x = np.where(in_odd_run, np.where(v_odd, ex - steps_odd, ex + steps_odd), x)
-    y = np.where(in_odd_run, ey, y)
-    # Origin.
-    x = np.where(t == 0, 0, x)
-    y = np.where(t == 0, 0, y)
+    # v = isqrt(t): float sqrt, then one exact fix-up each way for the
+    # times beyond 2^52 that float64 cannot hold exactly.
+    v = np.sqrt(t.astype(np.float64)).astype(np.int64)
+    v += (v + 1) * (v + 1) <= t
+    v -= v * v > t
+    # Branch-free closed form.  Step v*v ends odd run 2v-1 at
+    # (s*h, odd - s*h), with s = +1 for odd v and -1 for even v; the next
+    # v steps run along y (even run 2v), the rest along x (odd run 2v+1).
+    d = t - v * v
+    odd = v & 1
+    s = 2 * odd - 1
+    h = (v + 1) >> 1
+    x = s * (h - np.maximum(d - v, 0))
+    y = s * (np.minimum(d, v) - h) + odd
     return x, y
 
 

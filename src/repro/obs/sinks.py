@@ -2,15 +2,17 @@
 
 A sink is anything with ``handle(record: dict)`` and ``close()``.  The
 bus fans every event out to all attached sinks under its emission lock,
-so sinks themselves need no locking; they must never raise (a broken
-trace file must not kill a sweep), so both implementations swallow
-their own I/O errors after disabling themselves.
+so sinks themselves need no locking.  A broken trace file must not kill
+a sweep, so :class:`JsonlSink` turns an I/O error into one warning and
+disables itself; a record that cannot be serialised is a schema bug in
+the emitter and raises.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import warnings
 from typing import Dict, List, Optional
 
 __all__ = ["Sink", "MemorySink", "JsonlSink", "read_trace"]
@@ -44,8 +46,10 @@ class JsonlSink(Sink):
     """Append one JSON line per event to a trace file.
 
     The file opens lazily on the first record (a traced run that emits
-    nothing leaves nothing behind) and any I/O error permanently
-    disables the sink — tracing is an observer, never a failure mode.
+    nothing leaves nothing behind).  An I/O error warns once, naming the
+    path and the error, and permanently disables the sink: tracing is an
+    observer, never a failure mode, but a trace that cannot be written
+    is not a silently missing file.
     """
 
     def __init__(self, path: str) -> None:
@@ -56,21 +60,26 @@ class JsonlSink(Sink):
     def handle(self, record: Dict[str, object]) -> None:
         if self._dead:
             return
+        line = json.dumps(record, separators=(",", ":")) + "\n"
         try:
             if self._handle is None:
                 parent = os.path.dirname(self.path)
                 if parent:
                     os.makedirs(parent, exist_ok=True)
                 self._handle = open(self.path, "w", encoding="utf-8")
-            self._handle.write(
-                json.dumps(record, separators=(",", ":")) + "\n"
-            )
+            self._handle.write(line)
             # Line-buffered on purpose: the env-driven sink lives for
             # the whole process and traces must be tail-able mid-run.
             self._handle.flush()
-        except (OSError, TypeError, ValueError):
+        except OSError as error:
             self._dead = True
             self._close_handle()
+            warnings.warn(
+                f"cannot write trace file {self.path!r} ({error}); "
+                f"tracing to it is off for the rest of the run",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
     def close(self) -> None:
         self._close_handle()

@@ -10,12 +10,26 @@ treasure is a closed form:
   time is within the budget;
 * on the return leg, again geometrically.
 
-:func:`simulate_find_times` therefore never steps the grid: it samples all
-``trials x k`` excursion draws for a phase at once, resolves hits with the
-closed forms of :mod:`repro.core.spiral`, and advances per-agent clocks.
-This is exact in distribution — validated against the step engine by
+The engines therefore never step the grid: each phase samples all
+``trials x k`` excursion draws at once, resolves hits with the closed forms
+of :mod:`repro.core.spiral`, and advances per-agent clocks.  This is exact
+in distribution — validated against the step engine by
 ``tests/test_engine_vs_events.py`` — and several orders of magnitude
 faster, which is what makes the paper-scale parameter sweeps feasible.
+
+There is one static kernel, :func:`simulate_find_times_batch`, which
+shares each phase's draws across many treasure positions;
+:func:`simulate_find_times` on a static world is its one-world call.  Hits
+are resolved *sparsely* (:func:`_excursion_hits`): a crossing needs an
+exact coordinate match (``ux == tx`` outbound, ``ey == ty`` on the way
+back) or a treasure inside the spiral's Chebyshev box, so one boolean
+``(worlds, draws)`` grid per leg picks the few candidates, and only those
+pay for the exact test.  The filters are necessary conditions of the
+closed forms, so nothing they drop could have hit, and the candidates'
+offsets fold straight into the per-world minima because adding a start
+clock and dividing by a speed are monotone in IEEE arithmetic: the result
+is bitwise the dense evaluation's.  Moving, late or multiple targets take
+the dense dynamic kernel, whose targets differ per draw.
 
 :func:`excursion_find_time` is the scalar single-agent twin used for exact
 replay tests against the step engine: given the same RNG it consumes
@@ -27,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -323,11 +337,11 @@ def simulate_find_times(
     and is bitwise identical to the unperturbed engine.
 
     ``world_spec`` (:class:`repro.sim.world.WorldSpec`) declares the world
-    process.  A ``None`` or all-default spec resolves to ``None`` and the
-    static single-target legacy path below runs *structurally unchanged*
-    (bitwise identical output, enforced by property tests); anything else
-    routes to the dynamic kernel, where ``world`` may also be an
-    ``(n_targets, 2)`` array of initial target positions.
+    process.  A ``None`` or all-default spec resolves to ``None`` and runs
+    the static kernel as the one-world call of
+    :func:`simulate_find_times_batch` (so the two are bitwise twins);
+    anything else routes to the dynamic kernel, where ``world`` may also be
+    an ``(n_targets, 2)`` array of initial target positions.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -347,92 +361,11 @@ def simulate_find_times(
             start_delays=start_delays,
             scenario=scenario,
         )
-    rng = make_rng(seed)
-    tx, ty = world.treasure
-    scn = resolve_scenario(scenario)
-
-    cum = np.zeros((trials, k), dtype=np.float64)
-    if start_delays is not None:
-        delays = np.asarray(start_delays, dtype=np.float64)
-        if np.any(delays < 0):
-            raise ValueError("start delays must be non-negative")
-        cum = cum + np.broadcast_to(delays, (trials, k))
-    cum, speeds, crash_abs, q = _scenario_state(scn, k, trials, cum, rng)
-    best = np.full(trials, np.inf)
-    cap = np.inf if horizon is None else float(horizon)
-
-    families = algorithm.families()
-    for phase_index in itertools.count():
-        if phase_index >= max_phases:
-            raise RuntimeError(
-                f"simulation exceeded max_phases={max_phases}; "
-                f"pass a horizon or raise the cap"
-            )
-        if crash_abs is not None:
-            # Crashed agents never move again; park their clocks at +inf.
-            cum[cum >= crash_abs] = np.inf
-        active = cum < np.minimum(best, cap)[:, None]
-        if not np.any(active):
-            break
-        family = next(families, None)
-        if family is None:
-            break
-
-        rows, cols = np.nonzero(active)
-        count = rows.size
-        ux, uy, budgets = family.sample(rng, count)
-        start = cum[rows, cols]
-        travel = np.abs(ux) + np.abs(uy)
-
-        # Earliest hit within this excursion (inf when the excursion misses).
-        hit_offset = np.full(count, np.inf)
-
-        out_mask, out_off = _outbound_hit_offsets(ux, uy, tx, ty)
-        if q is not None:
-            out_mask = out_mask & (rng.random(count) < q)
-        hit_offset[out_mask] = np.minimum(hit_offset[out_mask], out_off[out_mask])
-
-        spiral_hit = _hit_times(tx - ux, ty - uy)
-        sp_mask = spiral_hit <= budgets
-        if q is not None:
-            sp_mask = sp_mask & (rng.random(count) < q)
-        sp_time = travel + spiral_hit
-        hit_offset[sp_mask] = np.minimum(hit_offset[sp_mask], sp_time[sp_mask])
-
-        dx_end, dy_end = spiral_position_array(budgets)
-        ex = ux + dx_end
-        ey = uy + dy_end
-        ret_mask, ret_off = _return_hit_offsets(ex, ey, tx, ty)
-        if q is not None:
-            ret_mask = ret_mask & (rng.random(count) < q)
-        ret_time = travel + budgets + ret_off
-        hit_offset[ret_mask] = np.minimum(hit_offset[ret_mask], ret_time[ret_mask])
-
-        # Offsets are step counts; wall-clock conversion divides by speed.
-        if speeds is not None:
-            speed = speeds[cols]
-            hit_wall = start + hit_offset / speed
-        else:
-            hit_wall = start + hit_offset
-        found = np.isfinite(hit_offset)
-        if crash_abs is not None:
-            # A hit after the agent's crash time never happens.
-            found &= hit_wall <= crash_abs[rows, cols]
-        if np.any(found):
-            np.minimum.at(best, rows[found], hit_wall[found])
-            # Finders stop searching; park their clocks at +inf.
-            cum[rows[found], cols[found]] = np.inf
-
-        not_found = ~found
-        duration = travel + budgets + np.abs(ex) + np.abs(ey)
-        if speeds is not None:
-            duration = duration / speed
-        cum[rows[not_found], cols[not_found]] = (
-            start[not_found] + duration[not_found]
-        )
-
-    best[best > cap] = np.inf
-    return best
+    return simulate_find_times_batch(
+        algorithm, [world], k, trials, seed,
+        horizon=horizon, max_phases=max_phases, start_delays=start_delays,
+        scenario=scenario,
+    )[0]
 
 
 def simulate_find_times_block(
@@ -471,12 +404,10 @@ def simulate_find_times_block(
 
 
 def _as_treasure_arrays(worlds: WorldsLike) -> Tuple[np.ndarray, np.ndarray]:
-    """Normalise a worlds argument to ``(tx, ty)`` int64 column vectors.
+    """Normalise a worlds argument to ``(tx, ty)`` int64 arrays, one per world.
 
     Accepts a sequence of :class:`World` instances, a sequence of
-    ``(tx, ty)`` pairs, or an ``(n, 2)`` integer array.  The returned arrays
-    have shape ``(n, 1)`` so that broadcasting against ``(draws,)`` excursion
-    arrays yields ``(n, draws)`` hit grids.
+    ``(tx, ty)`` pairs, or an ``(n, 2)`` integer array.
     """
     if isinstance(worlds, np.ndarray):
         pairs = worlds
@@ -493,7 +424,99 @@ def _as_treasure_arrays(worlds: WorldsLike) -> Tuple[np.ndarray, np.ndarray]:
         )
     if np.any((pairs[:, 0] == 0) & (pairs[:, 1] == 0)):
         raise ValueError("treasure must not be placed on the source")
-    return pairs[:, 0:1], pairs[:, 1:2]
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _spiral_reach(budgets: np.ndarray) -> np.ndarray:
+    """Half-width of the Chebyshev box a spiral of ``budgets`` steps stays in.
+
+    The spiral first enters L-inf ring ``m`` at step ``(2m - 1)^2``, so the
+    box is ``(isqrt(b) + 1) // 2``.  The float64 ``isqrt`` here is exact
+    below 2^52 and beyond can only round up, to a wider box that also
+    holds every cell whose hit time the kernel's float64 comparison
+    cannot tell apart from ``b``: the box never drops a hit.
+    """
+    return (np.sqrt(budgets.astype(np.float64)).astype(np.int64) + 1) // 2
+
+
+Leg = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _excursion_hits(
+    ux: np.ndarray,
+    uy: np.ndarray,
+    budgets: np.ndarray,
+    tx: np.ndarray,
+    ty: np.ndarray,
+) -> Tuple[List[Leg], np.ndarray]:
+    """Every treasure crossing of a phase's excursions, resolved sparsely.
+
+    Draw ``s`` goes x-first from the source to ``(ux, uy)``, spirals
+    ``budgets[s]`` steps and returns x-first; ``tx, ty`` hold one treasure
+    per world.  Returns the outbound, spiral and return legs as
+    ``(world, draw, offset)`` triples of the crossings, ``offset`` being
+    the float64 step count into the excursion, and each draw's length in
+    steps.
+
+    Each leg builds one ``(worlds, draws)`` boolean grid from an exact
+    necessary condition (``ux == tx`` for the outbound y-run, the spiral's
+    Chebyshev box, ``ey == ty`` for the return x-run) and resolves the full
+    condition and offset on its few candidates only.  The outbound x-run
+    (worlds with ``ty == 0``) and the return y-run (``tx == 0``) have no
+    such filter and are resolved per world on the draw arrays.
+    """
+    dx_end, dy_end = spiral_position_array(budgets)
+    ex = ux + dx_end
+    ey = uy + dy_end
+    ax, ay = np.abs(ux), np.abs(uy)
+    aex, aey = np.abs(ex), np.abs(ey)
+    travel = ax + ay
+    ret_base = travel + budgets
+    tx_col, ty_col = tx[:, None], ty[:, None]
+
+    def cells(grid):
+        # flatnonzero is several times faster than 2-D nonzero on a
+        # sparse grid; only the few candidates pay the divmod.
+        return np.divmod(np.flatnonzero(grid), grid.shape[1])
+
+    def leg(parts):
+        w, s, off = (np.concatenate(p) for p in zip(*parts))
+        return w, s, off.astype(np.float64)
+
+    # Outbound y-run at x == ux, then x-runs along y == 0.
+    w, s = cells(ux == tx_col)
+    t = ty[w]
+    ok = (t * np.sign(uy[s]) >= 1) & (np.abs(t) <= ay[s])
+    w, s, t = w[ok], s[ok], t[ok]
+    outbound = [(w, s, ax[s] + np.abs(t))]
+    for j in np.nonzero(ty == 0)[0]:
+        c = tx[j]
+        s = np.nonzero(ux >= c if c > 0 else ux <= c)[0]
+        outbound.append((np.full(s.size, j), s, np.full(s.size, abs(c))))
+
+    # Spiral: exact hit times only inside the Chebyshev box.
+    reach = _spiral_reach(budgets)
+    box = (tx_col >= ux - reach) & (tx_col <= ux + reach)
+    box &= ty_col >= uy - reach
+    box &= ty_col <= uy + reach
+    w, s = cells(box)
+    hit = _hit_times(tx[w] - ux[s], ty[w] - uy[s])
+    ok = hit <= budgets[s]
+    s = s[ok]
+    spiral = [(w[ok], s, travel[s] + hit[ok])]
+
+    # Return x-run at y == ey, then y-runs along x == 0.
+    w, s = cells(ey == ty_col)
+    t = tx[w]
+    ok = (t * np.sign(ex[s]) >= 0) & (np.abs(t) <= aex[s])
+    w, s, t = w[ok], s[ok], t[ok]
+    ret = [(w, s, ret_base[s] + aex[s] - np.abs(t))]
+    for j in np.nonzero(tx == 0)[0]:
+        c = ty[j]
+        s = np.nonzero(ey >= c if c > 0 else ey <= c)[0]
+        ret.append((np.full(s.size, j), s, ret_base[s] + aex[s] + aey[s] - abs(c)))
+
+    return [leg(outbound), leg(spiral), leg(ret)], ret_base + aex + aey
 
 
 def simulate_find_times_batch(
@@ -510,21 +533,21 @@ def simulate_find_times_batch(
 ) -> np.ndarray:
     """First find times for many worlds at once, sharing excursion draws.
 
-    The batched twin of :func:`simulate_find_times`: ``worlds`` is a
-    sequence of treasure positions (``World`` instances or ``(tx, ty)``
-    pairs) and the result has shape ``(len(worlds), trials)`` — row ``w``
-    holds the per-trial first find times for world ``w``.
+    The static excursion kernel; :func:`simulate_find_times` is its
+    one-world call.  ``worlds`` is a sequence of treasure positions
+    (``World`` instances or ``(tx, ty)`` pairs) and the result has shape
+    ``(len(worlds), trials)`` — row ``w`` holds the per-trial first find
+    times for world ``w``.
 
     Each phase's ``trials x k`` excursion draws are sampled **once** and
-    resolved against every world by broadcasting to a
-    ``(worlds, draws)`` hit grid, so the per-draw sampling cost is paid once
-    instead of once per world.  Per world, every row is distributed exactly
-    as a :func:`simulate_find_times` trial (the excursion draws are i.i.d.,
-    so conditioning on which slots are still running never biases them);
-    with a single world the two functions are *bitwise identical* for the
-    same seed.  Across worlds the shared draws act as common random numbers:
-    per-world means are unbiased, and cross-world comparisons (the point of
-    a D-sweep) see reduced variance because the noise is paired.
+    resolved against every world (see :func:`_excursion_hits`), so the
+    per-draw sampling cost is paid once instead of once per world.  Per
+    world, every row is distributed exactly as a one-world trial (the
+    excursion draws are i.i.d., so conditioning on which slots are still
+    running never biases them).  Across worlds the shared draws act as
+    common random numbers: per-world means are unbiased, and cross-world
+    comparisons (the point of a D-sweep) see reduced variance because the
+    noise is paired.
 
     An agent keeps drawing excursions while *any* world still needs it
     (different worlds find at different times); per-world ``best`` clocks
@@ -537,8 +560,7 @@ def simulate_find_times_batch(
     worlds.  Scenario perturbations are per *slot* (trial, agent) or per
     draw — crash times, speeds, delays and detection coins are all
     world-independent — so the shared-draw pairing across worlds is
-    preserved and the single-world bitwise-twin contract holds under any
-    scenario.
+    preserved under any scenario.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -581,89 +603,48 @@ def simulate_find_times_batch(
             break
 
         # A world is *open* while some slot can still improve it; resolving
-        # hit grids only for open worlds matches the scalar engine's
-        # stopping rule per world and keeps late phases (where only the
-        # slowest worlds remain) cheap.
+        # hits only for open worlds matches the one-world stopping rule per
+        # world and keeps late phases (where only the slowest worlds
+        # remain) cheap.
         open_worlds = np.nonzero(
             (targets > cum.min(axis=1)[None, :]).any(axis=1)
         )[0]
-        txo = tx[open_worlds]
-        tyo = ty[open_worlds]
 
         rows, cols = np.nonzero(active)
         count = rows.size
         ux, uy, budgets = family.sample(rng, count)
         start = cum[rows, cols]
-        travel = np.abs(ux) + np.abs(uy)
-
-        # Earliest hit per (open world, draw), inf when the excursion misses.
-        # Detection coins are drawn once per draw and shared across worlds
-        # (common random numbers, like the excursion draws themselves):
-        # per-world marginals are exact Bernoulli(q) per crossing, and with
-        # a single world the coin stream is bitwise identical to the
-        # scalar engine's.
-        out_mask, out_off = _outbound_hit_offsets(ux, uy, txo, tyo)
-        if q is not None:
-            out_mask = out_mask & (rng.random(count) < q)
-        hit_offset = np.where(out_mask, out_off.astype(np.float64), np.inf)
-
-        # Spiral hits are possible only where the budget reaches the
-        # treasure: the spiral first enters L-inf ring m at exactly
-        # (2m - 1)^2 steps, so entries with (2m - 1)^2 > budget are pruned
-        # before evaluating the (more expensive) exact closed form.  The
-        # tiny relative slack keeps the float pre-check conservative.
-        dxg = txo - ux
-        dyg = tyo - uy
-        reach = np.maximum(
-            2.0 * np.maximum(np.abs(dxg), np.abs(dyg)) - 1.0, 0.0
+        legs, duration = _excursion_hits(
+            ux, uy, budgets, tx[open_worlds], ty[open_worlds]
         )
-        cand_w, cand_s = np.nonzero(reach * reach * (1.0 - 1e-12) <= budgets)
-        # The spiral coin stream must stay draw-indexed (one coin per draw,
-        # drawn whether or not the draw is a candidate anywhere) to keep
-        # the scalar engine's consumption order.
-        sp_coins = (rng.random(count) < q) if q is not None else None
-        if cand_w.size:
-            spiral_hit = _hit_times(dxg[cand_w, cand_s], dyg[cand_w, cand_s])
-            cand_budgets = budgets[cand_s]
-            sp_mask = spiral_hit <= cand_budgets
-            if sp_coins is not None:
-                sp_mask = sp_mask & sp_coins[cand_s]
-            sp_time = np.where(sp_mask, travel[cand_s] + spiral_hit, np.inf)
-            hit_offset[cand_w, cand_s] = np.minimum(
-                hit_offset[cand_w, cand_s], sp_time
-            )
-
-        dx_end, dy_end = spiral_position_array(budgets)
-        ex = ux + dx_end
-        ey = uy + dy_end
-        ret_mask, ret_off = _return_hit_offsets(ex, ey, txo, tyo)
         if q is not None:
-            ret_mask = ret_mask & (rng.random(count) < q)
-        ret_time = travel + budgets + ret_off
-        np.minimum(hit_offset, np.where(ret_mask, ret_time, np.inf),
-                   out=hit_offset)
+            # One detection coin per draw and leg, in leg order, drawn
+            # whether or not the draw crosses any treasure and shared
+            # across worlds (common random numbers, like the draws).
+            for n, (w, s, off) in enumerate(legs):
+                seen = rng.random(count)[s] < q
+                legs[n] = (w[seen], s[seen], off[seen])
 
+        # Fold every crossing into ``best``.  Crossings need not be reduced
+        # per draw first: adding ``start`` and dividing by a speed are
+        # monotone in IEEE arithmetic, so the minimum over a draw's
+        # crossings maps to the minimum of their find times, bit for bit.
+        w_sub, s_idx, offset = (np.concatenate(p) for p in zip(*legs))
         speed = speeds[cols] if speeds is not None else None
-        w_sub, s_idx = np.nonzero(np.isfinite(hit_offset))
-        if w_sub.size:
-            if speed is not None:
-                find_times = start[s_idx] + hit_offset[w_sub, s_idx] / speed[s_idx]
-            else:
-                find_times = start[s_idx] + hit_offset[w_sub, s_idx]
-            if crash_abs is not None:
-                # Hits after the slot's crash time never happen, in any world.
-                alive = find_times <= crash_abs[rows[s_idx], cols[s_idx]]
-                w_sub, s_idx = w_sub[alive], s_idx[alive]
-                find_times = find_times[alive]
-        if w_sub.size:
-            w_idx = open_worlds[w_sub]
-            np.minimum.at(best.ravel(), w_idx * trials + rows[s_idx], find_times)
+        if speed is not None:
+            find_times = start[s_idx] + offset / speed[s_idx]
+        else:
+            find_times = start[s_idx] + offset
+        if crash_abs is not None:
+            # Hits after the slot's crash time never happen, in any world.
+            alive = find_times <= crash_abs[rows[s_idx], cols[s_idx]]
+            w_sub, s_idx, find_times = w_sub[alive], s_idx[alive], find_times[alive]
+        w_idx = open_worlds[w_sub]
+        np.minimum.at(best.ravel(), w_idx * trials + rows[s_idx], find_times)
 
-        # Unlike the scalar engine, finders are not parked: whether a draw
-        # found is world-dependent.  Advancing every live slot by the full
-        # excursion duration is safe (see docstring) and keeps the clocks
-        # world-independent.
-        duration = travel + budgets + np.abs(ex) + np.abs(ey)
+        # Finders are not parked: whether a draw found is world-dependent.
+        # Advancing every live slot by the full excursion duration is safe
+        # (see docstring) and keeps the clocks world-independent.
         if speed is not None:
             duration = duration / speed
         cum[rows, cols] = start + duration

@@ -270,6 +270,16 @@ class SweepGroup:
     distances: Tuple[int, ...]
 
 
+#: Every key :meth:`SweepSpec.to_dict` can emit (``budget``, ``world`` and
+#: ``fixed_chunking`` only when present); :meth:`SweepSpec.from_dict`
+#: rejects anything else.
+_SPEC_DICT_KEYS = frozenset({
+    "version", "algorithm", "params", "distances", "ks", "trials",
+    "placement", "seed", "horizon", "require_k_le_d", "scenario",
+    "budget", "world", "fixed_chunking",
+})
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A fully-described ``algorithm x D x k x trials`` sweep.
@@ -501,6 +511,18 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
+        """Rebuild a spec from :meth:`to_dict` output.
+
+        Raises ``ValueError`` naming any key :meth:`to_dict` never emits
+        (a spec written by a newer version, or a typo): dropping it
+        silently would run a different sweep than the one described.
+        """
+        unknown = sorted(set(data) - _SPEC_DICT_KEYS)
+        if unknown:
+            raise ValueError(
+                f"unexpected SweepSpec key(s): {', '.join(unknown)}; "
+                f"known keys are {', '.join(sorted(_SPEC_DICT_KEYS))}"
+            )
         return cls(
             algorithm=data["algorithm"],
             distances=tuple(data["distances"]),

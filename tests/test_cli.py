@@ -560,3 +560,18 @@ class TestTraceCommand:
     def test_trace_commands_reject_missing_file(self, tmp_path):
         with pytest.raises(SystemExit, match="no such trace file"):
             main(["trace", "report", str(tmp_path / "absent.jsonl")])
+
+    def test_unwritable_trace_path_warns_and_still_sweeps(self, tmp_path, capsys):
+        blocker = tmp_path / "f"
+        blocker.write_text("")
+        trace_file = blocker / "t.jsonl"
+        with pytest.warns(RuntimeWarning, match="cannot write trace file") as caught:
+            code = main(
+                ["sweep", "nonuniform", "--distances", "8", "--ks", "1",
+                 "--trials", "4", "--no-cache", "--trace", str(trace_file)]
+            )
+        assert code == 0
+        assert "== sweep nonuniform ==" in capsys.readouterr().out
+        assert not trace_file.exists()
+        assert len([w for w in caught if "trace file" in str(w.message)]) == 1
+        assert str(trace_file) in str(caught[0].message)

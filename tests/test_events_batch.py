@@ -9,7 +9,12 @@ from repro.algorithms import (
     RestartingHarmonicSearch,
     UniformSearch,
 )
-from repro.sim.events import simulate_find_times, simulate_find_times_batch
+from repro.sim.events import (
+    excursion_find_time,
+    simulate_find_times,
+    simulate_find_times_batch,
+)
+from repro.sim.rng import make_rng
 from repro.sim.world import World, place_treasure
 
 
@@ -102,6 +107,38 @@ class TestScalarEquivalence:
         for row, d in zip(times, (8, 16, 32)):
             finite = row[np.isfinite(row)]
             assert np.all(finite >= d)
+
+
+class TestExactReplay:
+    """One agent, one trial: every row equals the step-program replay.
+
+    With ``k = trials = 1`` each phase samples a single draw, exactly as
+    :func:`excursion_find_time` does, so each world's row must equal that
+    evaluator's find time for the same seed.  The worlds cover all eight
+    directions out of the source, so every leg (outbound x- and y-runs,
+    spiral, return x- and y-runs) is hit on both signs.
+    """
+
+    WORLDS = [
+        (x, y) for x in range(-5, 6) for y in range(-5, 6)
+        if 0 < abs(x) + abs(y) <= 5
+    ] + [(17, 0), (-17, 0), (0, 17), (0, -17), (9, -8), (-12, 3)]
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [NonUniformSearch(k=1), UniformSearch(0.5)],
+        ids=["nonuniform", "uniform"],
+    )
+    def test_rows_equal_single_agent_replay(self, algorithm):
+        for seed in range(12):
+            rows = simulate_find_times_batch(
+                algorithm, self.WORLDS, 1, 1, seed=seed
+            )[:, 0]
+            replay = [
+                excursion_find_time(algorithm, World(w), make_rng(seed))
+                for w in self.WORLDS
+            ]
+            assert rows.tolist() == replay
 
 
 class TestHorizonAndDelays:

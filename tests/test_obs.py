@@ -280,9 +280,36 @@ class TestSinks:
 
     def test_io_error_disables_sink_not_sweep(self, tmp_path):
         sink = JsonlSink(str(tmp_path))  # a directory: open() fails
-        with tracing(sink):
-            BUS.counter("cache.miss", kind="sweep")  # must not raise
+        with pytest.warns(RuntimeWarning, match="cannot write trace file"):
+            with tracing(sink):
+                BUS.counter("cache.miss", kind="sweep")  # must not raise
         assert sink._dead
+
+    def test_io_error_warns_once_with_path_and_error(self, tmp_path):
+        blocker = tmp_path / "f"
+        blocker.write_text("")
+        path = str(blocker / "t.jsonl")
+        sink = JsonlSink(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(3):
+                sink.handle({"name": "cache.miss"})
+        assert len(caught) == 1
+        message = str(caught[0].message)
+        assert repr(path) in message
+        assert "Errno" in message
+
+    def test_unserialisable_record_raises(self, tmp_path):
+        """A record json cannot encode is a schema bug: loud, not dropped."""
+        sink = JsonlSink(str(tmp_path / "t.jsonl"))
+        with pytest.raises(TypeError):
+            sink.handle({"name": "cache.miss", "data": {"n": object()}})
+        circular: dict = {}
+        circular["self"] = circular
+        with pytest.raises(ValueError):
+            sink.handle({"name": "cache.miss", "data": circular})
+        assert not sink._dead
+        sink.close()
 
     def test_read_trace_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.jsonl"

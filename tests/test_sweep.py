@@ -10,7 +10,8 @@ from repro.algorithms import NonUniformSearch, UniformSearch
 from repro.scenarios import ScenarioSpec
 from repro.sim.events import simulate_find_times_batch
 from repro.sim.rng import spawn_seeds
-from repro.sim.world import place_treasure
+from repro.sim.world import WorldSpec, place_treasure
+from repro.stats import BudgetPolicy
 from repro.sweep import (
     CellResult,
     SweepSpec,
@@ -108,6 +109,23 @@ class TestSweepSpec:
             scenario=ScenarioSpec(crash_hazard=0.01, speed_spread=2.0)
         )
         assert SweepSpec.from_dict(spec.to_dict()) == spec
+
+    def test_dict_roundtrip_with_every_optional_key(self):
+        dynamic = small_spec(
+            budget=BudgetPolicy.target_rel_ci(0.1, max_trials=64),
+            world=WorldSpec(n_targets=2),
+            scenario=ScenarioSpec(detection_prob=0.9),
+        )
+        chunked = small_spec(distances=tuple(range(4, 44, 4)))
+        assert {"version", "budget", "world"} <= set(dynamic.to_dict())
+        assert "fixed_chunking" in chunked.to_dict()
+        for spec in (dynamic, chunked):
+            assert SweepSpec.from_dict(spec.to_dict()) == spec
+
+    def test_from_dict_rejects_unknown_keys(self):
+        data = {**small_spec().to_dict(), "bogus": 1, "also_bogus": None}
+        with pytest.raises(ValueError, match="also_bogus, bogus"):
+            SweepSpec.from_dict(data)
 
     def test_validation(self):
         with pytest.raises(ValueError):
