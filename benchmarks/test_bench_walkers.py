@@ -4,8 +4,9 @@ The tentpole claim of ``repro.sim.walkers`` is that the chunked NumPy
 simulators make the memoryless baselines affordable at full trial counts:
 E7's biased-walk and Lévy rows used to run a dozen step-level trials at
 ``horizon x k`` Python generator steps each.  The speedup test measures
-both engines on E7's quick scenario (D=32, k=4, horizon=40*D^2) and
-asserts the walker engine is at least 10x faster *per trial*; the
+both engines on E7's quick scenario (D=32, k=4, horizon=40*D^2) for the
+random, biased and Lévy walkers and asserts the walker engine is at least
+10x faster *per trial* for each of them; the
 ``once`` benchmarks record absolute walker-engine times at E7's full row
 shape.  Runs under plain pytest, so the existing CI workflow picks it up.
 """
@@ -49,7 +50,7 @@ def _walker_engine_elapsed(walker):
 
 def test_walker_engine_beats_step_engine_10x():
     speedups = {}
-    for walker in (BiasedWalker(0.9), LevyWalker(2.0)):
+    for walker in (RandomWalker(), BiasedWalker(0.9), LevyWalker(2.0)):
         step_per_trial = _step_engine_elapsed(walker) / STEP_TRIALS
         walker_per_trial = _walker_engine_elapsed(walker) / TRIALS
         speedups[walker.name] = step_per_trial / walker_per_trial

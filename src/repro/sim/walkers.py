@@ -14,9 +14,13 @@ Two simulation shapes:
 
 * **step-chunked** (:class:`RandomWalker`): all ``trials x k`` walkers
   advance through a shared clock in chunks of ``span`` steps; per chunk
-  the per-step offsets are drawn as a ``(walkers, span)`` matrix,
-  positions are two cumulative sums, and treasure hits are an
-  elementwise comparison.
+  the moves are drawn as one ``(walkers, span)`` uint32 matrix and walked
+  in cache-sized tiles.  A tile tracks the rotated coordinates
+  ``u = x + y``, ``v = x - y`` (each moves by one per step) with one
+  cumulative sum of packed 16-bit step counts, compares them to the
+  targets only on the columns of the right step parity, and turns the
+  few matches into candidate cells; the step cap, arrival gate and
+  detection coins then apply to those candidates only.
 
 * **segment-chunked** (:class:`BiasedWalker`, :class:`LevyWalker`):
   walkers consume whole straight segments rather than steps, each walker
@@ -32,11 +36,12 @@ Both shapes prune at trial granularity: once any walker of a trial has
 found, siblings whose clock has passed that find time are retired (their
 future hits could never improve the trial's first find).
 
-Memory stays at ``O(live walkers x chunk)`` 64-bit entries (the offset
-and cumulative-position matrices); the default chunk is sized so that a
-matrix stays around a few million elements, degrading to ``16 x walkers``
-— a small constant factor over the unavoidable per-walker state — when
-the walker count alone exceeds the budget.
+Memory stays at one ``O(live walkers x chunk)`` matrix per chunk: the
+random walk's 32-bit draws (its tiles are a fixed few hundred KB), the
+segment walkers' 64-bit segment matrices.  The default chunk is sized so
+that a matrix stays around a few million elements, degrading to
+``16 x walkers`` — a small constant factor over the unavoidable
+per-walker state — when the walker count alone exceeds the budget.
 
 Walkers are registered as sweepable strategies in
 :mod:`repro.sweep.spec`, so ``SweepSpec``/``run_sweep`` dispatch them —
@@ -51,7 +56,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -86,6 +91,15 @@ __all__ = [
 #: Unit moves in the step-program order: +x, +y, -x, -y.
 _DIR_X = np.array([1, 0, -1, 0], dtype=np.int64)
 _DIR_Y = np.array([0, 1, 0, -1], dtype=np.int64)
+
+#: Widest random-walk tile: its packed 16-bit step counts cannot overflow.
+_TILE_COLS = 1 << 13
+
+#: Elements per random-walk tile, so a tile's passes stay in L2 cache.
+_TILE_CELLS = 1 << 17
+
+#: Packed target value of rows that cannot reach a target within a tile.
+_NO_HIT = np.iinfo(np.int32).min
 
 #: Soft cap on elements per per-chunk matrix when no chunk is given.
 _CHUNK_BUDGET = 1 << 22
@@ -131,20 +145,6 @@ class _SlotPlan:
     def wall(self, slots: np.ndarray, steps) -> np.ndarray:
         """Wall-clock time of the given slots after ``steps`` steps."""
         return self.delays[slots] + steps / self.speeds[slots]
-
-    def mask_missed(self, hits: np.ndarray, rng: np.random.Generator):
-        """Clear hit cells whose detection coin fails (in place).
-
-        One coin per hit cell — each cell crossing is an independent
-        detection opportunity — flipped only at the rare hits rather than
-        per simulated step/segment.
-        """
-        if self.detection is not None:
-            hr, hc = np.nonzero(hits)
-            if hr.size:
-                missed = rng.random(hr.size) >= self.detection
-                hits[hr[missed], hc[missed]] = False
-        return hits
 
 
 def _slot_plan(
@@ -235,48 +235,6 @@ def _mask_missed(valid: np.ndarray, q: Optional[float], rng) -> np.ndarray:
     return valid
 
 
-def _step_chunk_hits(
-    track: TargetTrack,
-    px: np.ndarray,
-    py: np.ndarray,
-    alive: np.ndarray,
-    trial_of: np.ndarray,
-    t: int,
-    span: int,
-    plan: Optional[_SlotPlan],
-    rng,
-) -> np.ndarray:
-    """Valid-hit matrix for one dynamic-world step chunk.
-
-    Targets are frozen at the chunk's start time ``t`` — the walker
-    engine's per-chunk motion granularity (pass a smaller ``chunk`` to
-    refine it) — then each target is an elementwise position comparison,
-    arrival-gated in wall-clock time and detection-thinned with the world
-    knob composed with the scenario's.
-    """
-    trials_idx = trial_of[alive]
-    pos = track.positions_at(t)
-    steps = t + 1 + np.arange(span, dtype=np.int64)
-    if plan is not None:
-        wall = plan.wall(alive[:, None], steps[None, :].astype(np.float64))
-        cap_ok = steps[None, :] <= plan.step_cap[alive, None]
-    else:
-        wall = steps.astype(np.float64)[None, :]
-        cap_ok = None
-    q = _track_detection(track, plan)
-    hit = np.zeros(px.shape, dtype=bool)
-    for j in range(track.n):
-        hj = (px == pos[trials_idx, j, 0][:, None]) & (
-            py == pos[trials_idx, j, 1][:, None]
-        )
-        if track.spec.arrival == "geometric":
-            hj = hj & (wall >= track.arrival[trials_idx, j][:, None])
-        hit |= _mask_missed(hj, q, rng)
-    if cap_ok is not None:
-        hit = hit & cap_ok
-    return hit
-
-
 def _segment_hits(
     track: TargetTrack,
     start_x: np.ndarray,
@@ -329,6 +287,91 @@ def _segment_hits(
         times = np.where(valid, hit_time.astype(np.float64), np.inf)
         best_step = np.minimum(best_step, times.min(axis=1))
     return best_step
+
+
+def _target_cells(
+    raw: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    tu: np.ndarray,
+    tv: np.ndarray,
+) -> List[np.ndarray]:
+    """Chunk cells where a walker stands on a target, one array per target.
+
+    ``raw`` is the chunk's ``(rows, span)`` uint32 draw (move
+    ``raw >> 30`` indexes ``_DIR_X``/``_DIR_Y``); ``u``, ``v`` are the
+    rows' rotated coordinates ``x + y``, ``x - y`` before the chunk and are
+    advanced to its end in place; ``tu``, ``tv`` are ``(rows, n_targets)``
+    target coordinates in the same frame.  Returns, per target, the sorted
+    flat indices ``row * span + column`` of the cells whose position equals
+    the target's, column ``c`` being the position after ``c + 1`` moves.
+
+    Every move steps ``u`` and ``v`` by one each: ``u`` down iff
+    ``raw >> 31``, ``v`` down iff ``(raw + 2**30) >> 31``.  One int32
+    increment packs both down-counts, ``cu << 16 | cv``, so one cumulative
+    sum tracks the position: after ``c + 1`` moves ``u = u0 + c + 1 - 2 cu``.
+    ``u`` has the parity of the step count, so a target is reachable only
+    on every other column; at column ``c = p + 2 i`` of the reachable
+    parity ``p`` the walker is on the target iff the packed sum minus
+    ``65537 i`` equals ``((du + p + 1) / 2) << 16 | (dv + p + 1) / 2``
+    (``du = u0 - tu``).  Rows farther than a tile's width from a target
+    get a value no packed sum takes, which also keeps the 16-bit halves
+    from aliasing.  The work runs on tiles of about ``_TILE_CELLS``
+    elements, at most ``_TILE_COLS`` columns wide so neither count can
+    carry into the other half, and ``u``, ``v`` carry across column tiles.
+    """
+    rows, span = raw.shape
+    found: List[List[np.ndarray]] = [[] for _ in range(tu.shape[1])]
+    for c0 in range(0, span, _TILE_COLS):
+        width = min(_TILE_COLS, span - c0)
+        tile = max(1, _TILE_CELLS // width)
+        down_u = np.empty((tile, width), dtype=np.uint32)
+        down_v = np.empty((tile, width), dtype=np.uint32)
+        packed = np.empty((tile, width), dtype=np.int32)
+        shifted = np.empty((tile, (width + 1) // 2), dtype=np.int32)
+        hit = np.empty(shifted.shape, dtype=bool)
+        ramp = np.arange(shifted.shape[1], dtype=np.int32) * 65537
+        for r0 in range(0, rows, tile):
+            r1 = min(rows, r0 + tile)
+            block = raw[r0:r1, c0:c0 + width]
+            m = r1 - r0
+            np.add(block, np.uint32(1 << 30), out=down_v[:m])
+            np.right_shift(down_v[:m], 31, out=down_v[:m])
+            np.right_shift(block, 15, out=down_u[:m])
+            np.bitwise_and(down_u[:m], 1 << 16, out=down_u[:m])
+            np.bitwise_or(down_u[:m], down_v[:m], out=down_u[:m])
+            s = np.cumsum(
+                down_u[:m].view(np.int32), axis=1, dtype=np.int32,
+                out=packed[:m],
+            )
+            u0, v0 = u[r0:r1], v[r0:r1]
+            for j, cells in enumerate(found):
+                du = u0 - tu[r0:r1, j]
+                dv = v0 - tv[r0:r1, j]
+                near = (np.abs(du) <= width) & (np.abs(dv) <= width)
+                parity = (du + 1) & 1
+                for p in (0, 1):
+                    on = near & (parity == p)
+                    n = (width - p + 1) // 2
+                    if n == 0 or not on.any():
+                        continue
+                    want = np.where(
+                        on, ((du + p + 1) >> 1) * 65536 + ((dv + p + 1) >> 1),
+                        _NO_HIT,
+                    ).astype(np.int32)
+                    np.subtract(s[:, p::2], ramp[:n], out=shifted[:m, :n])
+                    np.equal(shifted[:m, :n], want[:, None], out=hit[:m, :n])
+                    idx = np.flatnonzero(hit[:m, :n])
+                    if idx.size:
+                        row, i = np.divmod(idx, n)
+                        cells.append((r0 + row) * span + c0 + p + 2 * i)
+            last = s[:, -1].astype(np.int64)
+            u0 += width - 2 * (last >> 16)
+            v0 += width - 2 * (last & 0xFFFF)
+    return [
+        np.sort(np.concatenate(cells)) if cells else np.empty(0, np.int64)
+        for cells in found
+    ]
 
 
 class Walker(ABC):
@@ -410,12 +453,11 @@ class RandomWalker(Walker):
         horizon = _validate(k, trials, horizon)
         track = _world_track(world, world_spec, trials, seed)
         rng = make_rng(seed)
-        if track is None:
-            tx, ty = world.treasure
         n = trials * k
         span_cap = _auto_chunk(n, chunk, floor=16, cap=8192)
-        x = np.zeros(n, dtype=np.int64)
-        y = np.zeros(n, dtype=np.int64)
+        # Rotated coordinates u = x + y, v = x - y of every slot.
+        u = np.zeros(n, dtype=np.int64)
+        v = np.zeros(n, dtype=np.int64)
         trial_of = np.repeat(np.arange(trials), k)
         trial_best = np.full(trials, np.inf)
         alive = np.arange(n)
@@ -424,41 +466,69 @@ class RandomWalker(Walker):
         if plan is not None:
             alive = alive[plan.step_cap[alive] > 0]
             max_steps = int(plan.step_cap.max(initial=0))
+        if track is None:
+            target = np.array([[world.treasure]], dtype=np.int64)
+            q = None if plan is None else plan.detection
+            arrival = None
+        else:
+            q = _track_detection(track, plan)
+            geometric = track.spec.arrival == "geometric"
+            arrival = track.arrival if geometric else None
         t = 0
         while t < max_steps and alive.size:
             span = min(span_cap, max_steps - t)
-            moves = rng.integers(0, 4, size=(alive.size, span))
-            px = x[alive, None] + np.cumsum(_DIR_X[moves], axis=1)
-            py = y[alive, None] + np.cumsum(_DIR_Y[moves], axis=1)
-            if track is None:
-                hit = (px == tx) & (py == ty)
-                if plan is not None:
-                    # Hit at chunk column j happens at step t + j + 1; only
-                    # steps within the slot's cap (horizon and crash, in its
-                    # own speed) count, and each crossing is noticed only with
-                    # the scenario's detection probability.
-                    steps = t + 1 + np.arange(span, dtype=np.int64)
-                    hit = hit & (steps[None, :] <= plan.step_cap[alive, None])
-                    hit = plan.mask_missed(hit, rng)
-            else:
-                hit = _step_chunk_hits(
-                    track, px, py, alive, trial_of, t, span, plan, rng
-                )
-            any_hit = hit.any(axis=1)
+            # Move ``raw >> 30`` equals what ``rng.integers(0, 4)`` draws
+            # from the same generator state (its bounded path maps a 32-bit
+            # word ``w`` to ``w * 4 >> 32`` and never rejects), in half the
+            # bytes of an int64 draw.
+            raw = rng.integers(
+                0, 1 << 32, size=(alive.size, span), dtype=np.uint32
+            )
+            if track is not None:
+                # Targets are frozen at the chunk's start time ``t`` (pass a
+                # smaller ``chunk`` to refine the motion granularity).
+                target = track.positions_at(t)[trial_of[alive]]
+            tx, ty = target[..., 0], target[..., 1]
+            rows_by_target = (alive.size, target.shape[1])
+            ua, va = u[alive], v[alive]
+            cells = _target_cells(
+                raw, ua, va,
+                np.broadcast_to(tx + ty, rows_by_target),
+                np.broadcast_to(tx - ty, rows_by_target),
+            )
+            u[alive], v[alive] = ua, va
+            # Column of each row's first valid hit (``span``: none).  Column
+            # ``c`` is step ``t + c + 1``; a hit counts only inside the
+            # slot's step cap (horizon and crash, in its own speed), after
+            # the target's arrival, and when its detection coin succeeds.
+            # Coins come one per cell in row-major order, drawn before the
+            # cap for dynamic worlds and after it for the static one.
+            first = np.full(alive.size, span)
+            for j, cell in enumerate(cells):
+                rows, cols = np.divmod(cell, span)
+                if arrival is not None:
+                    steps = (t + 1 + cols).astype(np.float64)
+                    slots = alive[rows]
+                    wall = steps if plan is None else plan.wall(slots, steps)
+                    ok = wall >= arrival[trial_of[slots], j]
+                    rows, cols = rows[ok], cols[ok]
+                if plan is not None and track is None:
+                    ok = t + 1 + cols <= plan.step_cap[alive[rows]]
+                    rows, cols = rows[ok], cols[ok]
+                if q is not None and rows.size:
+                    ok = rng.random(rows.size) < q
+                    rows, cols = rows[ok], cols[ok]
+                if plan is not None and track is not None:
+                    ok = t + 1 + cols <= plan.step_cap[alive[rows]]
+                    rows, cols = rows[ok], cols[ok]
+                np.minimum.at(first, rows, cols)
+            any_hit = first < span
             if np.any(any_hit):
-                first = np.argmax(hit[any_hit], axis=1)
+                sel = alive[any_hit]
+                found = t + first[any_hit] + 1.0
                 if plan is not None:
-                    sel = alive[any_hit]
-                    np.minimum.at(
-                        trial_best, trial_of[sel],
-                        plan.wall(sel, t + first + 1.0),
-                    )
-                else:
-                    np.minimum.at(
-                        trial_best, trial_of[alive[any_hit]], t + first + 1.0
-                    )
-            x[alive] = px[:, -1]
-            y[alive] = py[:, -1]
+                    found = plan.wall(sel, found)
+                np.minimum.at(trial_best, trial_of[sel], found)
             t += span
             # Finders stop; siblings of a finished trial can only hit at
             # times > t >= the trial's recorded find, so they retire too.
@@ -585,7 +655,7 @@ class _SegmentWalker(Walker):
                 # a fixed cell at most once, so one coin per hitting segment
                 # is exact).
                 valid = hit & (hit_time <= plan.step_cap[alive, None])
-                valid = plan.mask_missed(valid, rng)
+                valid = _mask_missed(valid, plan.detection, rng)
             any_hit = valid.any(axis=1)
             if np.any(any_hit):
                 first = np.argmax(valid[any_hit], axis=1)
@@ -776,8 +846,7 @@ def walker_find_times_batch(
     Unlike the excursion batch engine, draws are *not* shared across
     worlds: a walker's trajectory has ``horizon`` steps of state, so
     cross-world sharing would couple entire paths rather than pairing
-    noise, and the chunked simulators are already within a small factor
-    of memory bandwidth.
+    noise.
     """
     if len(worlds) == 0:
         raise ValueError("worlds must be non-empty")

@@ -279,6 +279,9 @@ _SPEC_DICT_KEYS = frozenset({
     "budget", "world", "fixed_chunking",
 })
 
+#: The keys :meth:`SweepSpec.to_dict` always emits.
+_SPEC_REQUIRED_KEYS = _SPEC_DICT_KEYS - {"budget", "world", "fixed_chunking"}
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -515,13 +518,26 @@ class SweepSpec:
 
         Raises ``ValueError`` naming any key :meth:`to_dict` never emits
         (a spec written by a newer version, or a typo): dropping it
-        silently would run a different sweep than the one described.
+        silently would run a different sweep than the one described.  It
+        also raises ``ValueError`` naming every missing key :meth:`to_dict`
+        always emits, and for a ``version`` other than
+        :data:`SPEC_VERSION`: rebuilding such a dict at this version would
+        give a spec (and hash) other than the one it describes.
         """
         unknown = sorted(set(data) - _SPEC_DICT_KEYS)
         if unknown:
             raise ValueError(
                 f"unexpected SweepSpec key(s): {', '.join(unknown)}; "
                 f"known keys are {', '.join(sorted(_SPEC_DICT_KEYS))}"
+            )
+        missing = sorted(_SPEC_REQUIRED_KEYS - set(data))
+        if missing:
+            raise ValueError(f"missing SweepSpec key(s): {', '.join(missing)}")
+        if data["version"] != SPEC_VERSION:
+            raise ValueError(
+                f"SweepSpec dict has version {data['version']!r}, but this "
+                f"build reads only version {SPEC_VERSION}; rebuilt here it "
+                "would describe different results"
             )
         return cls(
             algorithm=data["algorithm"],

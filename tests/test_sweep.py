@@ -21,6 +21,7 @@ from repro.sweep import (
     run_sweep,
     save_result,
 )
+from repro.sweep.spec import SPEC_VERSION
 
 
 def _npz_entries(directory) -> int:
@@ -125,6 +126,19 @@ class TestSweepSpec:
     def test_from_dict_rejects_unknown_keys(self):
         data = {**small_spec().to_dict(), "bogus": 1, "also_bogus": None}
         with pytest.raises(ValueError, match="also_bogus, bogus"):
+            SweepSpec.from_dict(data)
+
+    def test_from_dict_rejects_missing_keys(self):
+        data = small_spec().to_dict()
+        del data["placement"], data["seed"]
+        with pytest.raises(ValueError, match="missing SweepSpec key.*: "
+                           "placement, seed$"):
+            SweepSpec.from_dict(data)
+
+    @pytest.mark.parametrize("version", [SPEC_VERSION - 1, SPEC_VERSION + 1])
+    def test_from_dict_rejects_other_versions(self, version):
+        data = {**small_spec().to_dict(), "version": version}
+        with pytest.raises(ValueError, match=f"version {version}, "):
             SweepSpec.from_dict(data)
 
     def test_validation(self):
